@@ -19,7 +19,7 @@ Eight checks, all diffing final weights bit-exactly:
    allocation, re-sharding, ring re-chunk, shows up here);
 4. the same clean training job run monolithically (``buffer_bytes=None``)
    and through the bucketed WFBP reducer pipeline must produce identical
-   weights for every bucket-capable method (drift between the per-bucket
+   weights for every ``make_aggregator`` method (drift between the per-bucket
    segmented collectives / staged compression and the fused path shows up
    here);
 5. the same open-membership gossip run — adversarial peers (sign-flip +
@@ -30,7 +30,7 @@ Eight checks, all diffing final weights bit-exactly:
 6. the same clean training job run sequentially and with process workers
    (``workers="process"``: child processes writing gradients into
    shared-memory arena slabs) must produce identical weights for every
-   bucket-capable method — including a BatchNorm model and an elastic
+   ``make_aggregator`` method — including a BatchNorm model and an elastic
    eject -> rejoin -> scale-up churn replay (cross-process rng-stream,
    shard, weight-broadcast, or BatchNorm-replay drift shows up here);
 7. a supervised run whose worker child is SIGKILLed mid-step must
@@ -45,7 +45,7 @@ Eight checks, all diffing final weights bit-exactly:
 8. the same clean training job run over the flat ring and over the
    topology-aware hierarchical all-reduce
    (``DataParallelTrainer(..., topology=...)``) must produce identical
-   weights for every bucket-capable method, monolithic and bucketed, on
+   weights for every ``make_aggregator`` method, monolithic and bucketed, on
    a degenerate single-node topology and a 2-node x 2-GPU one (any
    re-association of the reduction in the two-level schedule shows up
    here).
@@ -71,6 +71,7 @@ from repro.faults import (
 )
 from repro.models import make_small_vgg
 from repro.optim import SGD, make_aggregator
+from repro.optim.aggregators import aggregator_methods
 from repro.train import DataParallelTrainer, ResilienceConfig, make_cifar_like
 
 
@@ -277,7 +278,8 @@ def main() -> int:
               f"(max |diff| = {diff:g})")
         failures += 1
 
-    bucketed_methods = ("ssgd", "signsgd", "topk", "powersgd", "acpsgd")
+    # Every aggregator runs the bucket protocol; monolithic is one bucket.
+    bucketed_methods = tuple(aggregator_methods())
     mismatched = []
     sequential_monolithic = {}
     for method in bucketed_methods:
@@ -374,7 +376,7 @@ def main() -> int:
 
     # Check 8: the topology-aware hierarchical all-reduce must be
     # bit-identical to the flat ring — monolithic and bucketed — for every
-    # bucket-capable method, on a single 2-GPU node (degenerate hierarchy)
+    # ``make_aggregator`` method, on a single 2-GPU node (degenerate hierarchy)
     # and on 2 nodes x 2 GPUs (real two-level schedule). The canonical-fold
     # contract of repro.comm.hierarchical is what this enforces.
     from repro.comm import ClusterTopology

@@ -27,8 +27,8 @@ Subcommands:
   memoized result cache with single-flight de-duplication;
 - ``evaluate`` — regenerate the paper's tables/figures (wraps the
   experiment drivers; ``--fast`` skips the convergence figures);
-- ``bench`` — hot-path micro-benchmark: per-aggregator step time with
-  legacy copying gradients vs the zero-copy arena, written to JSON;
+- ``bench`` — hot-path micro-benchmark: per-aggregator step time on the
+  zero-copy arena, written to JSON;
   ``--planner`` benchmarks the planning service instead (cold/warm
   queries-per-second, hit rate, p50/p99 latency → BENCH_planner.json).
 """
@@ -547,17 +547,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
     )
     config = report["config"]
     print(f"hot-path bench: {config['model_parameters']} params, "
-          f"{config['world_size']} workers, best of {config['iters']}")
-    print(f"{'method':>10}  {'legacy ms':>10}  {'arena ms':>10}  {'speedup':>8}")
+          f"{config['world_size']} workers, {config['iters']} iterations")
+    print(f"{'method':>10}  {'best ms':>8}  {'mean ms':>8}")
     for method, row in report["aggregate_step"].items():
-        print(f"{method:>10}  {row['legacy']['best_s'] * 1e3:>10.2f}  "
-              f"{row['arena']['best_s'] * 1e3:>10.2f}  "
-              f"{row['arena_speedup']:>7.2f}x")
-    if "criteria" in report:
-        crit = report["criteria"]
-        print(f"ssgd arena speedup {crit['ssgd_arena_speedup']:.2f}x "
-              f"(target {crit['ssgd_speedup_target']}x); "
-              f"fused allocs/step on arena path: "
+        print(f"{method:>10}  {row['best_s'] * 1e3:>8.2f}  "
+              f"{row['mean_s'] * 1e3:>8.2f}")
+    crit = report.get("criteria", {})
+    if "arena_fused_allocs_per_step" in crit:
+        print(f"ssgd fused allocs/step: "
               f"{crit['arena_fused_allocs_per_step']:.0f}")
     if "buffer_sweep" in report:
         print(f"{'buffer MB':>10}  {'buckets':>8}  {'step ms':>8}")
@@ -565,17 +562,20 @@ def cmd_bench(args: argparse.Namespace) -> int:
             print(f"{row['buffer_mbytes']:>10.2f}  {row['num_buckets']:>8}  "
                   f"{row['best_s'] * 1e3:>8.2f}")
     if "worker_modes" in report:
-        print(f"worker backends ({config['cpu_count']} cpu):")
+        print(f"worker backends ({config['cpu_count']} cpu; "
+              "means over the same steps):")
         print(f"{'method':>10}  {'backend':>8}  {'step ms':>8}  "
-              f"{'worker ms':>9}  {'aggregate ms':>12}  {'bcast ms':>8}")
+              f"{'worker ms':>9}  {'aggregate ms':>12}  {'bcast ms':>8}  "
+              f"{'unaccounted ms':>14}")
         for method, rows in report["worker_modes"].items():
             for mode, row in rows.items():
                 if mode == "process_vs_thread_speedup":
                     continue
-                print(f"{method:>10}  {mode:>8}  {row['best_s'] * 1e3:>8.2f}  "
+                print(f"{method:>10}  {mode:>8}  {row['mean_s'] * 1e3:>8.2f}  "
                       f"{row['worker_mean_s'] * 1e3:>9.2f}  "
                       f"{row['aggregate_mean_s'] * 1e3:>12.2f}  "
-                      f"{row['broadcast_mean_s'] * 1e3:>8.2f}")
+                      f"{row['broadcast_mean_s'] * 1e3:>8.2f}  "
+                      f"{row['unaccounted_mean_s'] * 1e3:>14.2f}")
             speedup = rows.get("process_vs_thread_speedup")
             if speedup is not None:
                 print(f"{method:>10}  process vs thread: {speedup:.2f}x")
@@ -772,7 +772,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.set_defaults(func=cmd_chaos)
 
     p_bench = sub.add_parser(
-        "bench", help="hot-path benchmark: legacy vs zero-copy arena"
+        "bench", help="hot-path benchmark: aggregation on the zero-copy arena"
     )
     p_bench.add_argument("--world-size", type=int, default=4,
                          help="simulated data-parallel worker count")

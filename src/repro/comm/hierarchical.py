@@ -23,7 +23,7 @@ within nodes first) would silently fork the trajectory of every
 compressed method. Keeping the canonical fold makes
 ``all_reduce_hierarchical_`` bit-identical to the flat ring — monolithic
 and bucketed — which the eighth ``scripts/check_determinism.py`` check
-enforces for all five bucket-capable methods.
+enforces for every aggregation method.
 """
 
 from __future__ import annotations

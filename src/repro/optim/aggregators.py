@@ -8,6 +8,13 @@ tests compare these measurements to the analytical complexities.
 
 Aggregation semantics are gradient *averaging* across workers (the S-SGD
 convention the paper's convergence experiments use).
+
+There is one aggregation path: the staged bucket protocol
+(``begin_buckets`` / ``reduce_bucket`` / ``finish_buckets``) over the
+arena slabs of :mod:`repro.perf.arena`. :meth:`GradientAggregator.aggregate`
+runs every bucket of the gradients' own layout; monolithic aggregation is
+simply the one-bucket layout (``buffer_bytes=None``), tensor fusion with an
+unbounded buffer (§IV-B).
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.comm.process_group import ProcessGroup
+from repro.perf.arena import ArenaGrads, ArenaLayout
 from repro.perf.counters import ALLOC_STATS
 from repro.compression.acpsgd import ACPSGDState
 from repro.compression.powersgd import PowerSGDState
@@ -28,6 +36,9 @@ from repro.compression.reshaping import (
     matrix_view_shape,
     should_compress,
 )
+# ``majority_vote_aggregate`` and ``sparse_aggregate`` are the reference
+# decoders of the fused payloads; the staged paths below inline them per
+# bucket, but they stay importable from here for profilers that patch them.
 from repro.compression.signsgd import SignCompressor, majority_vote_aggregate
 from repro.compression.topk import TopkCompressor, sparse_aggregate
 
@@ -46,57 +57,21 @@ def _check_worker_grads(per_worker: List[NamedGrads], expected: int) -> None:
             raise ValueError(f"worker {rank} gradient names differ from worker 0")
 
 
-def _pack_fused(
-    grads: NamedGrads, names: List[str]
-) -> Tuple[np.ndarray, bool]:
-    """Fused buffer for ``names`` plus whether it is a zero-copy view.
-
-    Arena-backed gradients (:class:`repro.perf.arena.ArenaGrads`) whose
-    ``names`` match a contiguous run of the arena layout return the slab
-    view directly — tensor fusion as a no-op. Everything else pays the
-    legacy concatenation copy (counted in
-    :data:`repro.perf.counters.ALLOC_STATS`).
-    """
-    fused_view = getattr(grads, "fused_view", None)
-    if fused_view is not None:
-        view = fused_view(names)
-        if view is not None:
-            return view, True
-    ALLOC_STATS.pack_copies += 1
-    return np.concatenate([grads[name].reshape(-1) for name in names]), False
-
-
-def _pack(grads: NamedGrads, names: List[str]) -> np.ndarray:
-    """Flatten named gradients into one fused buffer (tensor fusion)."""
-    return _pack_fused(grads, names)[0]
-
-
-def _unpack(
-    buffer: np.ndarray,
-    template: NamedGrads,
-    names: List[str],
-    copy: bool = False,
-) -> NamedGrads:
+def _unpack(buffer: np.ndarray, template: NamedGrads, names: List[str]) -> NamedGrads:
     """Split a fused buffer back into named tensors.
 
-    Ownership contract: by default the returned arrays are **read-only
-    views** into ``buffer`` — they are valid until the buffer's owner
-    reuses it (for arena slabs: the next backward pass) and attempting to
-    write through them raises. Callers that need private, mutable tensors
-    must pass ``copy=True`` (one allocation per tensor, counted in
-    :data:`repro.perf.counters.ALLOC_STATS`).
+    Ownership contract: the returned arrays are **read-only views** into
+    ``buffer`` — they are valid until the buffer's owner reuses it (for
+    arena slabs: the next backward pass) and attempting to write through
+    them raises. Callers that need private, mutable tensors copy them.
     """
     out: NamedGrads = {}
     offset = 0
     for name in names:
         size = template[name].size
         view = buffer[offset : offset + size].reshape(template[name].shape)
-        if copy:
-            ALLOC_STATS.unpack_copies += 1
-            out[name] = view.copy()
-        else:
-            view.flags.writeable = False
-            out[name] = view
+        view.flags.writeable = False
+        out[name] = view
         offset += size
     return out
 
@@ -132,7 +107,6 @@ class _BucketSession:
 
     def __init__(self, per_worker: List[NamedGrads], layout) -> None:
         self.per_worker = per_worker
-        self.layout = layout
         self.names: List[str] = list(layout.names)
         self.buckets: List[Tuple[int, int]] = list(layout.buckets)
         self.bucket_names: List[List[str]] = layout.bucket_names()
@@ -143,7 +117,8 @@ class _BucketSession:
 
 
 class GradientAggregator:
-    """Base class: process group, live roster, and per-rank compressor state.
+    """Base class: process group, live roster, per-rank compressor state,
+    and the staged bucket protocol every method runs.
 
     Per-worker state (EF residuals, carried low-rank factors, momentum
     accumulators) is keyed by *rank id*, not by slot position, so a rank
@@ -151,20 +126,17 @@ class GradientAggregator:
     silently hand its residual to rank 1, and a rank that rejoins later is
     readmitted with fresh (warm-started) state via :meth:`admit_rank`.
 
-    Bucketed protocol: aggregators that set ``supports_bucketed`` also
-    implement ``begin_buckets`` / ``reduce_bucket`` / ``finish_buckets``,
-    the staged form of :meth:`aggregate` the
-    :class:`~repro.train.reducer.BucketedReducer` drives bucket by bucket
-    as backward produces gradients. For every such aggregator the staged
-    path is bit-identical to :meth:`aggregate` in any bucket order (the
-    per-bucket collectives reuse the monolithic chunk schedule; see
+    Bucket protocol: ``begin_buckets`` / ``reduce_bucket`` /
+    ``finish_buckets`` over arena-backed gradients, driven bucket by bucket
+    by the :class:`~repro.train.reducer.BucketedReducer` as backward
+    produces gradients, or all at once by :meth:`aggregate`. Subclasses
+    fill in the ``_begin`` / ``_reduce`` / ``_finish`` hooks. The result
+    is bit-identical for any bucket layout and any bucket order (the
+    per-bucket collectives reuse the one-bucket chunk schedule; see
     :func:`repro.comm.collectives.all_reduce_ring_segment_`).
     """
 
     method = "base"
-
-    #: Whether the staged bucket protocol below is implemented.
-    supports_bucketed = False
 
     def __init__(self, group: ProcessGroup):
         self.group = group
@@ -177,6 +149,8 @@ class GradientAggregator:
         self._per_rank: Dict[int, object] = {}
         self._bucket_session: Optional[_BucketSession] = None
         self._staging_blocks: Dict[str, np.ndarray] = {}
+        #: One-bucket layout for plain-dict inputs, keyed by (name, shape).
+        self._plain_layout: Optional[Tuple[tuple, ArenaLayout]] = None
 
     # ------------------------------------------------------------------
     # Per-rank state lifecycle (elastic membership hooks)
@@ -225,59 +199,99 @@ class GradientAggregator:
             warm_start(donor)
         self._per_rank[rank] = state
 
-    def aggregate(self, per_worker_grads: List[NamedGrads]) -> NamedGrads:
-        """Aggregate one step's gradients; returns the shared global gradient."""
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    # Bucketed (WFBP) protocol
-    # ------------------------------------------------------------------
-    def begin_buckets(self, per_worker_grads: List[NamedGrads]) -> None:
-        """Open a bucketed aggregation step over arena-backed gradients.
-
-        ``per_worker_grads`` must be :class:`~repro.perf.arena.ArenaGrads`
-        sharing one bucketed layout, in roster (slot) order. The caller may
-        then fire :meth:`reduce_bucket` for every bucket in any order —
-        typically reverse layout order, as backward produces them — and
-        collect the result with :meth:`finish_buckets`.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support bucketed aggregation"
-        )
-
-    def reduce_bucket(self, index: int) -> None:
-        """Reduce (or stage) one bucket; gradients for it must be final."""
-        raise NotImplementedError
-
-    def finish_buckets(self) -> NamedGrads:
-        """Complete the step; every bucket must have been reduced.
-
-        Returned tensors follow the same ownership contract as
-        :meth:`aggregate`'s zero-copy paths: they are read-only views valid
-        until the next aggregation begins.
-        """
-        raise NotImplementedError
-
-    def aggregate_bucketed(
+    def aggregate(
         self,
         per_worker_grads: List[NamedGrads],
         order: Optional[Sequence[int]] = None,
     ) -> NamedGrads:
-        """Run the whole staged protocol at once (deferred-mode entry).
+        """Aggregate one step's gradients; returns the shared global gradient.
 
-        ``order`` defaults to reverse layout order — the order backward
-        would have produced the buckets — but any permutation yields
-        bit-identical results.
+        Runs every bucket of the gradients' own arena layout, in ``order``
+        — by default reverse layout order, the order backward produces
+        them; any permutation yields bit-identical results. Arena-backed
+        gradients are consumed: the slabs are reduced or staged in place.
+        Plain ``{name: array}`` inputs are first copied once into private
+        one-bucket slabs (counted in ``ALLOC_STATS.pack_copies``), so the
+        caller's arrays are left unmodified.
+
+        The returned tensors are read-only views, valid until the next
+        aggregation (or, for arena slabs, the next backward pass).
         """
+        per_worker_grads = self._arena_backed(per_worker_grads)
         self.begin_buckets(per_worker_grads)
-        session = self._bucket_state()
-        indices = (
-            order if order is not None
-            else range(len(session.buckets) - 1, -1, -1)
-        )
-        for index in indices:
+        if order is None:
+            order = range(len(self._bucket_state().buckets) - 1, -1, -1)
+        for index in order:
             self.reduce_bucket(index)
         return self.finish_buckets()
+
+    def _arena_backed(self, per_worker_grads: List[NamedGrads]) -> List[NamedGrads]:
+        """The inputs as arena gradients sharing one layout (copy if not)."""
+        layout = (
+            getattr(per_worker_grads[0], "layout", None) if per_worker_grads else None
+        )
+        if layout is not None and all(
+            getattr(grads, "layout", None) is layout for grads in per_worker_grads
+        ):
+            return per_worker_grads
+        _check_worker_grads(per_worker_grads, len(self.roster))
+        key = tuple(
+            (name, np.shape(grad)) for name, grad in per_worker_grads[0].items()
+        )
+        if self._plain_layout is None or self._plain_layout[0] != key:
+            self._plain_layout = (key, ArenaLayout(key))
+        layout = self._plain_layout[1]
+        copies: List[NamedGrads] = []
+        for grads in per_worker_grads:
+            slab = np.empty(layout.total_elements)
+            np.concatenate(
+                [np.reshape(grads[name], -1) for name in layout.names], out=slab
+            )
+            ALLOC_STATS.pack_copies += 1
+            copies.append(ArenaGrads(layout.carve(slab), slab, layout))
+        return copies
+
+    # ------------------------------------------------------------------
+    # Bucket (WFBP) protocol
+    # ------------------------------------------------------------------
+    def begin_buckets(self, per_worker_grads: List[NamedGrads]) -> None:
+        """Open an aggregation step over arena-backed gradients.
+
+        ``per_worker_grads`` must be :class:`~repro.perf.arena.ArenaGrads`
+        over distinct slabs sharing one layout, in roster (slot) order. The
+        caller may then fire :meth:`reduce_bucket` for every bucket in any
+        order — typically reverse layout order, as backward produces them
+        — and collect the result with :meth:`finish_buckets`.
+        """
+        session = self._open_bucket_session(per_worker_grads)
+        self.step += 1
+        self._begin(session)
+
+    def reduce_bucket(self, index: int) -> None:
+        """Reduce (or stage) one bucket; gradients for it must be final."""
+        session = self._bucket_state()
+        self._mark_bucket(session, index)
+        self._reduce(session, index)
+
+    def finish_buckets(self) -> NamedGrads:
+        """Complete the step; every bucket must have been reduced.
+
+        Returned tensors are read-only views valid until the next
+        aggregation begins.
+        """
+        session = self._bucket_state()
+        self._close_bucket_session(session)
+        return self._finish(session)
+
+    def _begin(self, session: _BucketSession) -> None:
+        """Per-step set-up after the session opened (default: none)."""
+
+    def _reduce(self, session: _BucketSession, index: int) -> None:
+        """Work for one bucket (default: none — whole-vector methods)."""
+
+    def _finish(self, session: _BucketSession) -> NamedGrads:
+        """The aggregated gradients, once every bucket is reduced."""
+        raise NotImplementedError
 
     def _open_bucket_session(
         self, per_worker_grads: List[NamedGrads]
@@ -291,6 +305,14 @@ class GradientAggregator:
             raise ValueError(
                 "bucketed aggregation requires arena-backed gradients "
                 "sharing one layout (ArenaGrads from a single GradientArena)"
+            )
+        if len({id(grads.slab) for grads in per_worker_grads}) != len(
+            per_worker_grads
+        ):
+            raise ValueError(
+                "the same arena slab was passed for two slots; aggregation "
+                "reduces and stages in each worker's slab, so slabs must be "
+                "distinct"
             )
         session = _BucketSession(per_worker_grads, layout)
         self._bucket_session = session
@@ -334,12 +356,13 @@ class GradientAggregator:
     def _reduce_pack_segment(
         self, rows: List[np.ndarray], lo: int, hi: int, total: int
     ) -> None:
-        """Average-reduce ``rows[lo:hi]`` with the monolithic chunk schedule.
+        """Average-reduce ``rows[lo:hi]`` with the one-bucket chunk schedule.
 
         The aggregated values land in ``rows[0]``'s segment (in every row
-        when the group reduces in place). Staging rows are private to this
-        aggregator, so in-place reduction is safe whenever the group allows
-        it; resilient groups take the copying, fault-checked path.
+        when the group reduces in place). The rows are private staging rows
+        or slabs this step consumes, so in-place reduction is safe whenever
+        the group allows it; resilient groups take the copying,
+        fault-checked path and the result is written back into ``rows[0]``.
         """
         if hi == lo:
             return
@@ -373,8 +396,8 @@ class GradientAggregator:
 class AllReduceAggregator(GradientAggregator):
     """S-SGD: fused ring all-reduce of the raw gradients (the baseline).
 
-    With arena-backed gradients on a group that supports it, the all-reduce
-    runs **in place** on the per-worker slabs: zero packing copies, zero
+    The all-reduce runs bucket by bucket on the per-worker arena slabs —
+    **in place** on groups that support it: zero packing copies, zero
     per-step fused allocations, and the returned tensors are read-only
     views into the reduced slab. The per-worker gradients are consumed by
     the call (every slab ends up holding the reduced average), matching
@@ -382,63 +405,15 @@ class AllReduceAggregator(GradientAggregator):
     """
 
     method = "ssgd"
-    supports_bucketed = True
 
-    def aggregate(self, per_worker_grads: List[NamedGrads]) -> NamedGrads:
-        _check_worker_grads(per_worker_grads, len(self.roster))
-        self.step += 1
-        names = list(per_worker_grads[0])
-        packed = [_pack_fused(grads, names) for grads in per_worker_grads]
-        buffers = [buffer for buffer, _ in packed]
-        if (
-            getattr(self.group, "supports_inplace", False)
-            and all(is_view for _, is_view in packed)
-            and len({id(buffer) for buffer in buffers}) == len(buffers)
-        ):
-            self.group.all_reduce_(buffers, average=True)
-            return _unpack(buffers[0], per_worker_grads[0], names)
-        reduced = self.group.all_reduce(buffers, average=True)
-        return _unpack(reduced[0], per_worker_grads[0], names)
-
-    def begin_buckets(self, per_worker_grads: List[NamedGrads]) -> None:
-        session = self._open_bucket_session(per_worker_grads)
-        self.step += 1
-        session.inplace = (
-            getattr(self.group, "supports_inplace", False)
-            and len({id(slab) for slab in session.slabs}) == len(session.slabs)
-        )
-        if not session.inplace:
-            out = self._staging_blocks.get("ssgd_out")
-            if out is None or out.shape[0] < session.total:
-                out = np.zeros(max(1, session.total))
-                self._staging_blocks["ssgd_out"] = out
-            session.out = out[: session.total]
-
-    def reduce_bucket(self, index: int) -> None:
-        session = self._bucket_state()
-        self._mark_bucket(session, index)
+    def _reduce(self, session: _BucketSession, index: int) -> None:
+        # Reduce the arena bucket views where they live, with the one-bucket
+        # slab's chunk schedule (bit-identical to one fused all-reduce).
         lo, hi = session.buckets[index]
-        if hi == lo:
-            return
-        ALLOC_STATS.bucket_reduces += 1
-        views = [slab[lo:hi] for slab in session.slabs]
-        if session.inplace:
-            # Zero-copy: reduce the arena bucket views where they live,
-            # with the monolithic slab's chunk schedule (bit-identical to
-            # one fused in-place all-reduce; destroys the local payloads).
-            self.group.all_reduce_segment_(views, lo, session.total, average=True)
-        else:
-            ALLOC_STATS.bucket_copies += 1
-            reduced = self.group.all_reduce_segment(
-                views, lo, session.total, average=True
-            )
-            session.out[lo:hi] = reduced[0]
+        self._reduce_pack_segment(session.slabs, lo, hi, session.total)
 
-    def finish_buckets(self) -> NamedGrads:
-        session = self._bucket_state()
-        self._close_bucket_session(session)
-        buffer = session.slabs[0] if session.inplace else session.out
-        return _unpack(buffer, session.template, session.names)
+    def _finish(self, session: _BucketSession) -> NamedGrads:
+        return _unpack(session.slabs[0], session.template, session.names)
 
 
 class SignSGDAggregator(GradientAggregator):
@@ -451,7 +426,6 @@ class SignSGDAggregator(GradientAggregator):
     """
 
     method = "signsgd"
-    supports_bucketed = True
 
     def __init__(
         self,
@@ -467,48 +441,25 @@ class SignSGDAggregator(GradientAggregator):
     def _make_state(self, rank: int) -> SignCompressor:
         return SignCompressor(self.use_error_feedback)
 
-    def aggregate(self, per_worker_grads: List[NamedGrads]) -> NamedGrads:
-        _check_worker_grads(per_worker_grads, len(self.roster))
-        self.step += 1
-        names = list(per_worker_grads[0])
-        payloads = []
-        for rank, grads in zip(self.roster, per_worker_grads):
-            flat = _pack(grads, names)
-            payloads.append(self._per_rank[rank].compress("fused", flat))
-        # All-gather the packed bits (scales ride along; they are 4 bytes).
-        gathered = self.group.all_gather([p.packed_bits for p in payloads])
-        del gathered  # numerics below use the payload objects directly
-        shape = (payloads[0].num_elements,)
-        aggregated = majority_vote_aggregate(payloads, shape, validate=self.validate)
-        return _unpack(aggregated, per_worker_grads[0], names)
-
-    def begin_buckets(self, per_worker_grads: List[NamedGrads]) -> None:
-        session = self._open_bucket_session(per_worker_grads)
-        self.step += 1
-        session.scratch = self._staging_rows(
-            "signsgd", len(self.roster), session.total
-        )
+    def _begin(self, session: _BucketSession) -> None:
         session.bits = [None] * len(session.buckets)
 
-    def reduce_bucket(self, index: int) -> None:
+    def _reduce(self, session: _BucketSession, index: int) -> None:
         """Stage the bucket's EF-corrected segment and ship its sign bits.
 
-        Sign bits are *per-element* (``flat >= 0`` does not depend on the
-        global scale), so each bucket's 1-bit payload all-gathers as soon
-        as the bucket's gradients are ready — Sign-SGD keeps WFBP overlap
-        for the bulk of its traffic. Only the scalar L1-mean scale is
-        vector-global and waits for :meth:`finish_buckets`.
+        The residual is added in place in each worker's slab (the step
+        consumes the slab). Sign bits are *per-element* (``flat >= 0`` does
+        not depend on the global scale), so each bucket's 1-bit payload
+        all-gathers as soon as the bucket's gradients are ready — Sign-SGD
+        keeps WFBP overlap for the bulk of its traffic. Only the scalar
+        L1-mean scale is vector-global and waits for :meth:`finish_buckets`.
         """
-        session = self._bucket_state()
-        self._mark_bucket(session, index)
         lo, hi = session.buckets[index]
         ALLOC_STATS.bucket_reduces += 1
         packed = []
-        for slot, rank in enumerate(self.roster):
-            state = self._per_rank[rank]
-            staged = session.scratch[slot][lo:hi]
-            np.copyto(staged, session.slabs[slot][lo:hi])
-            residual = state.residual_for(f"fused/b{index}")
+        for slab, rank in zip(session.slabs, self.roster):
+            staged = slab[lo:hi]
+            residual = self._per_rank[rank].residual_for(f"fused/b{index}")
             if residual is not None:
                 staged += residual
             packed.append(np.packbits((staged >= 0).astype(np.uint8)))
@@ -516,43 +467,36 @@ class SignSGDAggregator(GradientAggregator):
         if hi > lo:
             self.group.all_gather(packed)
 
-    def finish_buckets(self) -> NamedGrads:
-        session = self._bucket_state()
-        self._close_bucket_session(session)
-        num_slots = len(self.roster)
-        # The scale is the L1 mean of the *whole* EF-corrected vector —
-        # identical to the monolithic compressor's — computed over the
-        # per-slot staging buffers the buckets filled.
+    def _finish(self, session: _BucketSession) -> NamedGrads:
+        # The scale is the L1 mean of each worker's *whole* EF-corrected
+        # vector, computed over the slabs the buckets staged.
         scales = np.array([
-            float(np.abs(session.scratch[slot]).mean()) if session.total else 0.0
-            for slot in range(num_slots)
+            float(np.abs(slab).mean()) if session.total else 0.0
+            for slab in session.slabs
         ])
         if self.validate:
             from repro.utils.validation import assert_finite
 
             assert_finite(scales, "signsgd payload scales")
         mean_scale = float(scales.mean())
-        out = self._staging_rows("signsgd_out", 1, max(1, session.total))[0]
-        out = out[: session.total]
+        # The output overwrites slab 0, bucket by bucket, once every slot's
+        # residual for that bucket has been taken from the staged values.
+        out = session.slabs[0]
         for index, (lo, hi) in enumerate(session.buckets):
             if hi == lo:
                 continue
             vote = np.zeros(hi - lo)
             signs_per_slot = []
-            for slot in range(num_slots):
-                bits = np.unpackbits(session.bits[index][slot])[: hi - lo]
-                signs = np.where(bits == 1, 1.0, -1.0)
+            for bits in session.bits[index]:
+                signs = np.where(np.unpackbits(bits)[: hi - lo] == 1, 1.0, -1.0)
                 signs_per_slot.append(signs)
                 vote += signs
-            majority = np.where(vote >= 0, 1.0, -1.0)
-            out[lo:hi] = mean_scale * majority
             for slot, rank in enumerate(self.roster):
-                state = self._per_rank[rank]
-                state.store_residual(
+                self._per_rank[rank].store_residual(
                     f"fused/b{index}",
-                    session.scratch[slot][lo:hi]
-                    - scales[slot] * signs_per_slot[slot],
+                    session.slabs[slot][lo:hi] - scales[slot] * signs_per_slot[slot],
                 )
+            out[lo:hi] = mean_scale * np.where(vote >= 0, 1.0, -1.0)
         return _unpack(out, session.template, session.names)
 
 
@@ -560,7 +504,6 @@ class TopkSGDAggregator(GradientAggregator):
     """Top-k SGD: all-gather (values, indices), sum sparse, average."""
 
     method = "topk"
-    supports_bucketed = True
 
     def __init__(
         self,
@@ -587,64 +530,28 @@ class TopkSGDAggregator(GradientAggregator):
             rng=np.random.default_rng(self.seed + rank),
         )
 
-    def aggregate(self, per_worker_grads: List[NamedGrads]) -> NamedGrads:
-        _check_worker_grads(per_worker_grads, len(self.roster))
-        self.step += 1
-        names = list(per_worker_grads[0])
-        payloads = []
-        for rank, grads in zip(self.roster, per_worker_grads):
-            flat = _pack(grads, names)
-            payloads.append(self._per_rank[rank].compress("fused", flat))
-        # Wire format: interleaved (index, value) pairs per worker.
-        wires = [
-            np.concatenate([p.indices.astype(np.float64), p.values])
-            for p in payloads
-        ]
-        self.group.all_gather(wires)
-        aggregated = sparse_aggregate(
-            payloads,
-            (payloads[0].num_elements,),
-            average=True,
-            validate=self.validate,
-        )
-        return _unpack(aggregated, per_worker_grads[0], names)
-
-    def begin_buckets(self, per_worker_grads: List[NamedGrads]) -> None:
-        session = self._open_bucket_session(per_worker_grads)
-        self.step += 1
-        session.scratch = self._staging_rows(
-            "topk", len(self.roster), session.total
-        )
-
-    def reduce_bucket(self, index: int) -> None:
+    def _reduce(self, session: _BucketSession, index: int) -> None:
         """Stage the bucket's EF-corrected segment (no communication yet).
 
-        Top-k selection is *vector-global* — one ``k`` and one threshold
-        over the whole fused gradient — so nothing can ship until every
-        bucket is staged: exactly the §IV observation that top-k
-        compression forfeits WFBP overlap. Staging is still per bucket so
-        the EF residual stays keyed by (rank, bucket).
+        The residual is added in place in each worker's slab. Top-k
+        selection is *vector-global* — one ``k`` and one threshold over the
+        whole fused gradient — so nothing can ship until every bucket is
+        staged: exactly the §IV observation that top-k compression forfeits
+        WFBP overlap. Staging is still per bucket so the EF residual stays
+        keyed by (rank, bucket).
         """
-        session = self._bucket_state()
-        self._mark_bucket(session, index)
         lo, hi = session.buckets[index]
         ALLOC_STATS.bucket_reduces += 1
-        for slot, rank in enumerate(self.roster):
-            state = self._per_rank[rank]
-            staged = session.scratch[slot][lo:hi]
-            np.copyto(staged, session.slabs[slot][lo:hi])
-            residual = state.residual_for(f"fused/b{index}")
+        for slab, rank in zip(session.slabs, self.roster):
+            residual = self._per_rank[rank].residual_for(f"fused/b{index}")
             if residual is not None:
-                staged += residual
+                slab[lo:hi] += residual
 
-    def finish_buckets(self) -> NamedGrads:
-        session = self._bucket_state()
-        self._close_bucket_session(session)
+    def _finish(self, session: _BucketSession) -> NamedGrads:
         num_slots = len(self.roster)
         selections = []
-        for slot, rank in enumerate(self.roster):
+        for slot, (flat, rank) in enumerate(zip(session.slabs, self.roster)):
             state = self._per_rank[rank]
-            flat = session.scratch[slot]
             idx = state.select(flat)
             values = flat[idx]
             if self.validate:
@@ -656,10 +563,11 @@ class TopkSGDAggregator(GradientAggregator):
             for index, (lo, hi) in enumerate(session.buckets):
                 state.store_residual(f"fused/b{index}", residual[lo:hi])
             selections.append((idx, values))
-        out = self._staging_rows("topk_out", 1, max(1, session.total))[0]
-        out = out[: session.total]
+        # Every slot's values and residual are copies by now, so slab 0
+        # takes the output.
+        out = session.slabs[0]
         out[:] = 0.0
-        for index, (lo, hi) in enumerate(session.buckets):
+        for lo, hi in session.buckets:
             if hi == lo:
                 continue
             parts = []
@@ -668,7 +576,7 @@ class TopkSGDAggregator(GradientAggregator):
                 parts.append((idx[mask] - lo, values[mask]))
             # Per-bucket wire format: each rank ships only the (index,
             # value) pairs whose coordinates fall in this bucket; the
-            # per-bucket wires partition the monolithic payload exactly.
+            # per-bucket wires partition the one-bucket payload exactly.
             self.group.all_gather([
                 np.concatenate([part_idx.astype(np.float64), part_vals])
                 for part_idx, part_vals in parts
@@ -681,7 +589,11 @@ class TopkSGDAggregator(GradientAggregator):
 
 
 class RandomKAggregator(GradientAggregator):
-    """Random-k with a shared seed: additive, so values ride an all-reduce."""
+    """Random-k with a shared seed: additive, so values ride an all-reduce.
+
+    Coordinates are drawn over the whole fused vector, so every bucket only
+    marks itself done and the step compresses the slabs at the finish.
+    """
 
     method = "randomk"
 
@@ -707,22 +619,23 @@ class RandomKAggregator(GradientAggregator):
             use_error_feedback=self.use_error_feedback,
         )
 
-    def aggregate(self, per_worker_grads: List[NamedGrads]) -> NamedGrads:
-        _check_worker_grads(per_worker_grads, len(self.roster))
-        self.step += 1
-        names = list(per_worker_grads[0])
-        payloads = []
-        for rank, grads in zip(self.roster, per_worker_grads):
-            flat = _pack(grads, names)
-            payloads.append(self._per_rank[rank].compress("fused", flat, self.step))
+    def _finish(self, session: _BucketSession) -> NamedGrads:
+        payloads = [
+            self._per_rank[rank].compress("fused", slab, self.step)
+            for rank, slab in zip(self.roster, session.slabs)
+        ]
         reduced = self.group.all_reduce([p.values for p in payloads], average=True)
-        dense = np.zeros(payloads[0].num_elements)
+        dense = np.zeros(session.total)
         dense[payloads[0].indices] = reduced[0]
-        return _unpack(dense, per_worker_grads[0], names)
+        return _unpack(dense, session.template, session.names)
 
 
 class QSGDAggregator(GradientAggregator):
-    """QSGD (extension): all-gather quantized payloads, dequantize, average."""
+    """QSGD (extension): all-gather quantized payloads, dequantize, average.
+
+    Quantizes the whole fused vector at the finish (buckets only mark
+    themselves done).
+    """
 
     method = "qsgd"
 
@@ -737,14 +650,11 @@ class QSGDAggregator(GradientAggregator):
             self.num_levels, rng=np.random.default_rng(self.seed + rank)
         )
 
-    def aggregate(self, per_worker_grads: List[NamedGrads]) -> NamedGrads:
-        _check_worker_grads(per_worker_grads, len(self.roster))
-        self.step += 1
-        names = list(per_worker_grads[0])
-        payloads = []
-        for rank, grads in zip(self.roster, per_worker_grads):
-            flat = _pack(grads, names)
-            payloads.append(self._per_rank[rank].compress(flat))
+    def _finish(self, session: _BucketSession) -> NamedGrads:
+        payloads = [
+            self._per_rank[rank].compress(slab)
+            for rank, slab in zip(self.roster, session.slabs)
+        ]
         # Wire format: uint8 levels (for s <= 255) + 1 packed sign bit per
         # element, so the measured traffic reflects QSGD's ~9 bits/element.
         wires = []
@@ -755,18 +665,19 @@ class QSGDAggregator(GradientAggregator):
             sign_bits = np.packbits((payload.signs >= 0).astype(np.uint8))
             wires.append(np.concatenate([level_bytes, sign_bits]))
         self.group.all_gather(wires)
-        size = payloads[0].num_elements
-        dense = np.zeros(size)
+        dense = np.zeros(session.total)
         for payload in payloads:
-            dense += QSGDCompressor.decompress(payload, (size,))
+            dense += QSGDCompressor.decompress(payload, (session.total,))
         dense /= len(payloads)
-        return _unpack(dense, per_worker_grads[0], names)
+        return _unpack(dense, session.template, session.names)
 
 
 class TernGradAggregator(GradientAggregator):
     """TernGrad (extension): all-gather ternary payloads, dequantize, average.
 
     Unbiased, so no error feedback; variance is the convergence cost.
+    Ternarizes the whole fused vector at the finish (buckets only mark
+    themselves done).
     """
 
     method = "terngrad"
@@ -785,23 +696,19 @@ class TernGradAggregator(GradientAggregator):
             np.random.default_rng(self.seed + rank), self.clip_sigma
         )
 
-    def aggregate(self, per_worker_grads: List[NamedGrads]) -> NamedGrads:
+    def _finish(self, session: _BucketSession) -> NamedGrads:
         from repro.compression.terngrad import TernGradCompressor
 
-        _check_worker_grads(per_worker_grads, len(self.roster))
-        self.step += 1
-        names = list(per_worker_grads[0])
-        payloads = []
-        for rank, grads in zip(self.roster, per_worker_grads):
-            flat = _pack(grads, names)
-            payloads.append(self._per_rank[rank].compress(flat))
+        payloads = [
+            self._per_rank[rank].compress(slab)
+            for rank, slab in zip(self.roster, session.slabs)
+        ]
         self.group.all_gather([p.packed for p in payloads])
-        size = payloads[0].num_elements
-        dense = np.zeros(size)
+        dense = np.zeros(session.total)
         for payload in payloads:
-            dense += TernGradCompressor.decompress(payload, (size,))
+            dense += TernGradCompressor.decompress(payload, (session.total,))
         dense /= len(payloads)
-        return _unpack(dense, per_worker_grads[0], names)
+        return _unpack(dense, session.template, session.names)
 
 
 class _LowRankBase(GradientAggregator):
@@ -834,30 +741,17 @@ class _LowRankBase(GradientAggregator):
         plain = [n for n in grads if n not in set(compressible)]
         return compressible, plain
 
-    def _allreduce_plain(
-        self, per_worker_grads: List[NamedGrads], plain: List[str]
-    ) -> NamedGrads:
-        if not plain:
-            return {}
-        buffers = [_pack(grads, plain) for grads in per_worker_grads]
-        reduced = self.group.all_reduce(buffers, average=True)
-        return _unpack(reduced[0], per_worker_grads[0], plain)
-
     # ------------------------------------------------------------------
-    # Bucketed protocol shared plumbing
+    # Bucket protocol shared plumbing
     # ------------------------------------------------------------------
-    def _begin_lowrank_session(
-        self, per_worker_grads: List[NamedGrads]
-    ) -> _BucketSession:
-        """Open a session and lay out the shared plain (uncompressed) pack.
+    def _begin(self, session: _BucketSession) -> None:
+        """Lay out the shared plain (uncompressed) pack.
 
         Each pack (plain here; P/Q/alternating factor in the subclasses)
         orders its blocks by layout order, so every bucket's names cover a
         contiguous pack segment and per-bucket reduction can reuse the
-        monolithic pack's chunk schedule.
+        whole pack's chunk schedule.
         """
-        session = self._open_bucket_session(per_worker_grads)
-        self.step += 1
         compressible, plain = self._split_names(session.template)
         session.compressible = compressible
         session.comp_set = set(compressible)
@@ -871,7 +765,6 @@ class _LowRankBase(GradientAggregator):
             for name in compressible
         }
         session.result = {}
-        return session
 
     def _reduce_plain_bucket(
         self, session: _BucketSession, plain_b: List[str]
@@ -910,9 +803,7 @@ class _LowRankBase(GradientAggregator):
         view.flags.writeable = False
         return view
 
-    def finish_buckets(self) -> NamedGrads:
-        session = self._bucket_state()
-        self._close_bucket_session(session)
+    def _finish(self, session: _BucketSession) -> NamedGrads:
         return {name: session.result[name] for name in session.template}
 
 
@@ -925,7 +816,6 @@ class PowerSGDAggregator(_LowRankBase):
     """
 
     method = "powersgd"
-    supports_bucketed = True
 
     def __init__(
         self,
@@ -950,51 +840,8 @@ class PowerSGDAggregator(_LowRankBase):
             self.reuse_query, self.validate,
         )
 
-    def aggregate(self, per_worker_grads: List[NamedGrads]) -> NamedGrads:
-        _check_worker_grads(per_worker_grads, len(self.roster))
-        self.step += 1
-        compressible, plain = self._split_names(per_worker_grads[0])
-        result = self._allreduce_plain(per_worker_grads, plain)
-
-        if compressible:
-            # Stage 1: local P factors, fused all-reduce.
-            local_ps: List[NamedGrads] = []
-            for rank_idx, grads in zip(self.roster, per_worker_grads):
-                state = self._per_rank[rank_idx]
-                ps = {
-                    name: state.compute_p(name, grad_to_matrix(grads[name]))
-                    for name in compressible
-                }
-                local_ps.append(ps)
-            p_buffers = [_pack(ps, compressible) for ps in local_ps]
-            p_reduced = self.group.all_reduce(p_buffers, average=True)
-            p_agg = _unpack(p_reduced[0], local_ps[0], compressible)
-
-            # Stage 2: local Q factors, fused all-reduce.
-            local_qs: List[NamedGrads] = []
-            for rank_idx in self.roster:
-                state = self._per_rank[rank_idx]
-                qs = {
-                    name: state.compute_q(name, p_agg[name]) for name in compressible
-                }
-                local_qs.append(qs)
-            q_buffers = [_pack(qs, compressible) for qs in local_qs]
-            q_reduced = self.group.all_reduce(q_buffers, average=True)
-            q_agg = _unpack(q_reduced[0], local_qs[0], compressible)
-
-            # Stage 3: reconstruct on every worker (results identical).
-            for slot, rank_idx in enumerate(self.roster):
-                state = self._per_rank[rank_idx]
-                for name in compressible:
-                    m_hat = state.reconstruct(name, q_agg[name])
-                    if slot == 0:
-                        result[name] = matrix_to_grad(
-                            m_hat, per_worker_grads[0][name].shape
-                        )
-        return {name: result[name] for name in per_worker_grads[0]}
-
-    def begin_buckets(self, per_worker_grads: List[NamedGrads]) -> None:
-        session = self._begin_lowrank_session(per_worker_grads)
+    def _begin(self, session: _BucketSession) -> None:
+        super()._begin(session)
         p_sizes: Dict[str, int] = {}
         q_sizes: Dict[str, int] = {}
         session.p_shapes = {}
@@ -1016,7 +863,7 @@ class PowerSGDAggregator(_LowRankBase):
             "powersgd_q", num_slots, max(1, session.q_pack.total)
         )
 
-    def reduce_bucket(self, index: int) -> None:
+    def _reduce(self, session: _BucketSession, index: int) -> None:
         """Full Power-SGD round for one bucket as its gradients land.
 
         Per bucket: plain tensors reduce uncompressed, then the blocking
@@ -1026,8 +873,6 @@ class PowerSGDAggregator(_LowRankBase):
         structure), but bucketing lets later buckets start as soon as their
         gradients exist.
         """
-        session = self._bucket_state()
-        self._mark_bucket(session, index)
         names_b = session.bucket_names[index]
         comp_b = [n for n in names_b if n in session.comp_set]
         plain_b = [n for n in names_b if n not in session.comp_set]
@@ -1074,7 +919,6 @@ class ACPSGDAggregator(_LowRankBase):
     """ACP-SGD: a single fused all-reduce of the alternating factor."""
 
     method = "acpsgd"
-    supports_bucketed = True
 
     def __init__(
         self,
@@ -1099,36 +943,8 @@ class ACPSGDAggregator(_LowRankBase):
             self.reuse_query, self.validate,
         )
 
-    def aggregate(self, per_worker_grads: List[NamedGrads]) -> NamedGrads:
-        _check_worker_grads(per_worker_grads, len(self.roster))
-        self.step += 1
-        compressible, plain = self._split_names(per_worker_grads[0])
-        result = self._allreduce_plain(per_worker_grads, plain)
-
-        if compressible:
-            local_factors: List[NamedGrads] = []
-            for rank_idx, grads in zip(self.roster, per_worker_grads):
-                state = self._per_rank[rank_idx]
-                factors = {
-                    name: state.compress(name, grad_to_matrix(grads[name]), self.step)
-                    for name in compressible
-                }
-                local_factors.append(factors)
-            buffers = [_pack(factors, compressible) for factors in local_factors]
-            reduced = self.group.all_reduce(buffers, average=True)
-            agg = _unpack(reduced[0], local_factors[0], compressible)
-            for slot, rank_idx in enumerate(self.roster):
-                state = self._per_rank[rank_idx]
-                for name in compressible:
-                    m_hat = state.finalize(name, agg[name], self.step)
-                    if slot == 0:
-                        result[name] = matrix_to_grad(
-                            m_hat, per_worker_grads[0][name].shape
-                        )
-        return {name: result[name] for name in per_worker_grads[0]}
-
-    def begin_buckets(self, per_worker_grads: List[NamedGrads]) -> None:
-        session = self._begin_lowrank_session(per_worker_grads)
+    def _begin(self, session: _BucketSession) -> None:
+        super()._begin(session)
         # Factor shapes alternate with step parity: P=(n, r) on odd steps,
         # Q=(m, r) on even steps — fixed for the whole session because every
         # bucket shares this step's parity.
@@ -1145,7 +961,7 @@ class ACPSGDAggregator(_LowRankBase):
             "acpsgd_f", len(self.roster), max(1, session.factor_pack.total)
         )
 
-    def reduce_bucket(self, index: int) -> None:
+    def _reduce(self, session: _BucketSession, index: int) -> None:
         """One fused-factor round for the bucket as its gradients land.
 
         ACP-SGD's single alternating-factor all-reduce is the cheapest of
@@ -1153,8 +969,6 @@ class ACPSGDAggregator(_LowRankBase):
         compresses, reduces its contiguous segment of the factor pack, and
         reconstructs immediately.
         """
-        session = self._bucket_state()
-        self._mark_bucket(session, index)
         names_b = session.bucket_names[index]
         comp_b = [n for n in names_b if n in session.comp_set]
         plain_b = [n for n in names_b if n not in session.comp_set]
@@ -1187,23 +1001,35 @@ class ACPSGDAggregator(_LowRankBase):
                     )
 
 
+def _registry() -> Dict[str, type]:
+    from repro.optim.dgc import DGCTopkAggregator
+
+    return {
+        cls.method: cls
+        for cls in (
+            AllReduceAggregator,
+            SignSGDAggregator,
+            TopkSGDAggregator,
+            RandomKAggregator,
+            QSGDAggregator,
+            TernGradAggregator,
+            PowerSGDAggregator,
+            ACPSGDAggregator,
+            DGCTopkAggregator,
+        )
+    }
+
+
+def aggregator_methods() -> List[str]:
+    """Every method name :func:`make_aggregator` accepts, in registry order."""
+    return list(_registry())
+
+
 def make_aggregator(
     method: str, group: ProcessGroup, **kwargs
 ) -> GradientAggregator:
-    """Factory by method name: ssgd/signsgd/topk/randomk/qsgd/powersgd/acpsgd."""
-    from repro.optim.dgc import DGCTopkAggregator
-
-    registry = {
-        "ssgd": AllReduceAggregator,
-        "signsgd": SignSGDAggregator,
-        "topk": TopkSGDAggregator,
-        "randomk": RandomKAggregator,
-        "qsgd": QSGDAggregator,
-        "terngrad": TernGradAggregator,
-        "powersgd": PowerSGDAggregator,
-        "acpsgd": ACPSGDAggregator,
-        "dgc": DGCTopkAggregator,
-    }
+    """Factory by method name (see :func:`aggregator_methods`)."""
+    registry = _registry()
     cls = registry.get(method)
     if cls is None:
         raise ValueError(

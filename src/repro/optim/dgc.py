@@ -13,13 +13,18 @@ again — pair this aggregator with SGD(momentum=0).
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
 from repro.comm.process_group import ProcessGroup
 from repro.compression.topk import SparsePayload, exact_topk_mask, sparse_aggregate
-from repro.optim.aggregators import GradientAggregator, NamedGrads, _pack, _unpack
+from repro.optim.aggregators import (
+    GradientAggregator,
+    NamedGrads,
+    _BucketSession,
+    _unpack,
+)
 
 
 class _WorkerDGCState:
@@ -33,7 +38,9 @@ class _WorkerDGCState:
     def accumulate(self, name: str, grad: np.ndarray) -> np.ndarray:
         """Update u, v; returns the velocity to sparsify."""
         u_prev = self.u.get(name)
-        u = grad if u_prev is None else self.momentum * u_prev + grad
+        # Copy on first use: ``grad`` may be an arena slab the next
+        # backward pass overwrites.
+        u = grad.copy() if u_prev is None else self.momentum * u_prev + grad
         v_prev = self.v.get(name)
         v = u if v_prev is None else v_prev + u
         self.u[name] = u
@@ -83,19 +90,12 @@ class DGCTopkAggregator(GradientAggregator):
     def _make_state(self, rank: int) -> _WorkerDGCState:
         return _WorkerDGCState(self.momentum)
 
-    def aggregate(self, per_worker_grads: List[NamedGrads]) -> NamedGrads:
-        if len(per_worker_grads) != len(self.roster):
-            raise ValueError(
-                f"expected gradients from {len(self.roster)} workers, "
-                f"got {len(per_worker_grads)}"
-                f" (stale roster? call set_roster with the live ranks)"
-            )
-        self.step += 1
-        names = list(per_worker_grads[0])
+    def _finish(self, session: _BucketSession) -> NamedGrads:
+        # Selection is over the whole fused velocity, so buckets only mark
+        # themselves done and the step compresses the slabs here.
         payloads = []
-        for rank, grads in zip(self.roster, per_worker_grads):
+        for rank, flat in zip(self.roster, session.slabs):
             state = self._per_rank[rank]
-            flat = _pack(grads, names)
             velocity = state.accumulate("fused", flat)
             k = max(self.min_k, int(round(self.ratio * velocity.size)))
             idx = exact_topk_mask(velocity, k)
@@ -108,5 +108,5 @@ class DGCTopkAggregator(GradientAggregator):
             for p in payloads
         ]
         self.group.all_gather(wires)
-        dense = sparse_aggregate(payloads, (payloads[0].num_elements,), average=True)
-        return _unpack(dense, per_worker_grads[0], names)
+        dense = sparse_aggregate(payloads, (session.total,), average=True)
+        return _unpack(dense, session.template, session.names)

@@ -1,29 +1,21 @@
-"""Hot-path benchmark: aggregation-step timing, legacy vs arena.
+"""Hot-path benchmark: aggregation-step timing on the arena slabs.
 
 Measures the per-step cost of every aggregation method on a VGG-style
-model at ``world_size`` workers, twice each:
-
-- **legacy** — per-worker gradients are plain ``{name: array}`` dicts, so
-  ``_pack`` concatenates (a full-model copy per worker per step) and the
-  S-SGD collective runs the copying ring all-reduce: the pre-arena code
-  path, reconstructed in the same run so the speedup is an
-  apples-to-apples measurement on the same machine;
-- **arena** — gradients are :class:`~repro.perf.arena.ArenaGrads` slab
-  views, so packing is a no-op and S-SGD aggregates in place on the slabs
-  with preallocated ring scratch.
-
-Gradient *values* are identical between modes (both are refilled from the
-same reference arrays), so any timing difference is pure data movement.
-The JSON report also records the :data:`~repro.perf.counters.ALLOC_STATS`
-deltas — the arena S-SGD row must show zero fused-buffer allocations —
-and an optional end-to-end ``train_step`` comparison (sequential vs
-parallel workers).
+model at ``world_size`` workers, with gradients in
+:class:`~repro.perf.arena.ArenaGrads` slab views refilled from fixed
+reference arrays before every (untimed) call, so S-SGD aggregates in place
+on the slabs with preallocated ring scratch. The JSON report also records
+the :data:`~repro.perf.counters.ALLOC_STATS` deltas — the S-SGD row must
+show zero fused-buffer allocations — and an optional end-to-end
+``train_step`` comparison (sequential vs parallel workers).
 
 The ``worker_modes`` section compares the three backprop backends
 (``seq`` / ``thread`` / ``process``) end-to-end per method, with a
 worker/aggregate/broadcast time breakdown — the measurement that shows
 whether compression compute actually escaped the GIL (see
-``repro.perf.procpool``).
+``repro.perf.procpool``). Every column of that breakdown is a mean over
+the same timed steps, so the parts and the ``unaccounted`` residual add
+up to the step.
 
 Run it via ``python -m repro bench`` or ``scripts/bench_hot_path.py``.
 """
@@ -48,7 +40,7 @@ from repro.train.trainer import DataParallelTrainer
 NamedGrads = Dict[str, np.ndarray]
 
 #: method name -> aggregator factory, in report order. S-SGD first: it is
-#: the row the >= 1.5x arena-speedup acceptance criterion reads.
+#: the row the zero-fused-allocation criterion reads.
 AGGREGATOR_FACTORIES: Dict[str, Callable[[ProcessGroup], agg.GradientAggregator]] = {
     "ssgd": agg.AllReduceAggregator,
     "signsgd": agg.SignSGDAggregator,
@@ -70,25 +62,6 @@ def _reference_gradients(
         rng.standard_normal(arena.layout.total_elements)
         for _ in range(arena.world_size)
     ]
-
-
-def _legacy_gradients(
-    arena: GradientArena, reference: List[np.ndarray]
-) -> List[NamedGrads]:
-    """Plain-dict gradients carrying the same values as the arena slabs."""
-    layout = arena.layout
-    out: List[NamedGrads] = []
-    for ref in reference:
-        grads: NamedGrads = {}
-        for name in layout.names:
-            lo = layout.offsets[name]
-            grads[name] = (
-                ref[lo : lo + layout.size_of(name)]
-                .reshape(layout.shapes[name])
-                .copy()
-            )
-        out.append(grads)
-    return out
 
 
 def _time_aggregation(
@@ -116,7 +89,6 @@ def _time_aggregation(
         "best_s": min(times),
         "mean_s": float(np.mean(times)),
         "pack_copies_per_step": ALLOC_STATS.pack_copies / iters,
-        "unpack_copies_per_step": ALLOC_STATS.unpack_copies / iters,
         "fused_allocs_per_step": ALLOC_STATS.fused_allocs / iters,
     }
 
@@ -175,14 +147,16 @@ def _bench_worker_modes(
 ) -> Dict[str, object]:
     """End-to-end ``train_step`` per worker backend, with a breakdown.
 
-    For every (method, backend) pair the row records the total step time
-    plus where it went: ``worker_mean_s`` (backprop + compression-input
-    production — the part the backend parallelizes), ``aggregate_mean_s``
-    (compression kernels + collective, always in the parent), and for the
-    process backend ``broadcast_mean_s`` (the per-step weights memcpy into
-    the shared buffer — its only per-step copy). The thread-vs-process
-    comparison is the GIL story in numbers: compute-bound methods
-    (signsgd, terngrad) only scale when backprop escapes the GIL.
+    For every (method, backend) pair the row records the mean step time
+    plus where it went, each a mean over the same timed steps:
+    ``worker_mean_s`` (the workers' backprop phase — the part the backend
+    parallelizes), ``aggregate_mean_s`` (compression kernels + collective,
+    always in the parent), for the process backend ``broadcast_mean_s``
+    (the per-step weights memcpy into the shared buffer — its only
+    per-step copy), and ``unaccounted_mean_s``, the rest of the step
+    (roster sync, optimizer step). The thread-vs-process comparison is the
+    GIL story in numbers: compute-bound methods (signsgd, terngrad) only
+    scale when backprop escapes the GIL.
 
     Speedups are meaningful only with real cores; the report records
     ``cpu_count`` so a single-core result is not misread as a regression.
@@ -208,53 +182,78 @@ def _bench_worker_modes(
                 seed=seed,
                 workers=mode,
             )
-            # Shadow the bound method on the instance to time the
-            # aggregation phase without touching the class.
-            inner_aggregate = trainer.aggregator.aggregate
-            aggregate_times: List[float] = []
-
-            def timed_aggregate(per_worker, _inner=inner_aggregate,
-                                _times=aggregate_times):
-                start = time.perf_counter()
-                out = _inner(per_worker)
-                _times.append(time.perf_counter() - start)
-                return out
-
-            trainer.aggregator.aggregate = timed_aggregate
+            # Shadow the phase methods on the instances to time them
+            # without touching the classes: per step, the backend's worker
+            # entry point and the aggregation.
+            if mode == "process":
+                worker_entry = "_process_worker_gradients"
+            elif trainer._pool is not None:
+                worker_entry = "_parallel_worker_gradients"
+            else:
+                worker_entry = "_worker_gradients"
+            phase_times = {"worker": [0.0], "aggregate": [0.0]}
+            for obj, attr, phase in (
+                (trainer.aggregator, "aggregate", "aggregate"),
+                (trainer, worker_entry, "worker"),
+            ):
+                setattr(obj, attr, _timed(getattr(obj, attr), phase_times[phase]))
             try:
                 for _ in range(warmup):
                     trainer.train_step()
                 ALLOC_STATS.reset()
-                aggregate_times.clear()
-                times = []
-                broadcast = []
+                parts: Dict[str, List[float]] = {
+                    "step": [], "worker": [], "aggregate": [], "broadcast": [],
+                }
                 for _ in range(iters):
+                    for times in phase_times.values():
+                        times[0] = 0.0
                     start = time.perf_counter()
                     trainer.train_step()
-                    times.append(time.perf_counter() - start)
-                    if trainer._procpool is not None:
-                        broadcast.append(trainer._procpool.last_broadcast_s)
+                    parts["step"].append(time.perf_counter() - start)
+                    broadcast = (
+                        trainer._procpool.last_broadcast_s
+                        if trainer._procpool is not None else 0.0
+                    )
+                    # The process backend's worker phase includes the
+                    # weight broadcast; report it in its own column.
+                    parts["worker"].append(phase_times["worker"][0] - broadcast)
+                    parts["aggregate"].append(phase_times["aggregate"][0])
+                    parts["broadcast"].append(broadcast)
             finally:
                 trainer.close()
-            aggregate_mean = float(np.mean(aggregate_times))
-            broadcast_mean = float(np.mean(broadcast)) if broadcast else 0.0
+            means = {key: float(np.mean(values)) for key, values in parts.items()}
             method_rows[mode] = {
-                "best_s": min(times),
-                "mean_s": float(np.mean(times)),
-                "worker_mean_s": (
-                    float(np.mean(times)) - aggregate_mean - broadcast_mean
+                "best_s": min(parts["step"]),
+                "mean_s": means["step"],
+                "worker_mean_s": means["worker"],
+                "aggregate_mean_s": means["aggregate"],
+                "broadcast_mean_s": means["broadcast"],
+                "unaccounted_mean_s": (
+                    means["step"] - means["worker"] - means["aggregate"]
+                    - means["broadcast"]
                 ),
-                "aggregate_mean_s": aggregate_mean,
-                "broadcast_mean_s": broadcast_mean,
                 "fused_allocs_per_step": ALLOC_STATS.fused_allocs / iters,
             }
         if "thread" in method_rows and "process" in method_rows:
             method_rows["process_vs_thread_speedup"] = (
-                method_rows["thread"]["best_s"]
-                / method_rows["process"]["best_s"]
+                method_rows["thread"]["mean_s"]
+                / method_rows["process"]["mean_s"]
             )
         rows[method] = method_rows
     return rows
+
+
+def _timed(inner: Callable, total: List[float]) -> Callable:
+    """Wrap ``inner`` so every call adds its wall time to ``total[0]``."""
+
+    def timed(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return inner(*args, **kwargs)
+        finally:
+            total[0] += time.perf_counter() - start
+
+    return timed
 
 
 def _bench_buffer_sweep(
@@ -342,40 +341,21 @@ def run_hot_path_bench(
     arena = GradientArena(model, world_size)
     layout = arena.layout
     reference = _reference_gradients(arena, seed + 1)
-    legacy = _legacy_gradients(arena, reference)
 
-    def legacy_provider() -> List[NamedGrads]:
-        # Refill so in-place-consumed values cannot leak between modes.
-        for grads, ref in zip(legacy, reference):
-            for name in layout.names:
-                lo = layout.offsets[name]
-                np.copyto(
-                    grads[name],
-                    ref[lo : lo + layout.size_of(name)].reshape(
-                        layout.shapes[name]
-                    ),
-                )
-        return legacy
-
-    def arena_provider() -> List[ArenaGrads]:
+    def provider() -> List[ArenaGrads]:
+        # Refill: aggregation consumes the slabs.
         for slot, ref in enumerate(reference):
             np.copyto(arena.slab(slot), ref)
         return [arena.grads(slot) for slot in range(world_size)]
 
     selected = methods or list(AGGREGATOR_FACTORIES)
-    aggregate_step: Dict[str, object] = {}
-    for method in selected:
-        factory = AGGREGATOR_FACTORIES[method]
-        row: Dict[str, object] = {}
-        for mode, provider in (
-            ("legacy", legacy_provider),
-            ("arena", arena_provider),
-        ):
-            row[mode] = _time_aggregation(
-                factory(ProcessGroup(world_size)), provider, iters, warmup
-            )
-        row["arena_speedup"] = row["legacy"]["best_s"] / row["arena"]["best_s"]
-        aggregate_step[method] = row
+    aggregate_step: Dict[str, object] = {
+        method: _time_aggregation(
+            AGGREGATOR_FACTORIES[method](ProcessGroup(world_size)),
+            provider, iters, warmup,
+        )
+        for method in selected
+    }
 
     report: Dict[str, object] = {
         "config": {
@@ -415,13 +395,10 @@ def run_hot_path_bench(
             worker_methods, worker_modes,
         )
     if "ssgd" in aggregate_step:
-        ssgd = aggregate_step["ssgd"]
+        ssgd_allocs = aggregate_step["ssgd"]["fused_allocs_per_step"]
         report["criteria"] = {
-            "ssgd_arena_speedup": ssgd["arena_speedup"],
-            "ssgd_speedup_target": 1.5,
-            "ssgd_speedup_ok": ssgd["arena_speedup"] >= 1.5,
-            "arena_fused_allocs_per_step": ssgd["arena"]["fused_allocs_per_step"],
-            "arena_zero_fused_allocs": ssgd["arena"]["fused_allocs_per_step"] == 0,
+            "arena_fused_allocs_per_step": ssgd_allocs,
+            "arena_zero_fused_allocs": ssgd_allocs == 0,
         }
     worker_rows = report.get("worker_modes", {})
     process_vs_thread = {

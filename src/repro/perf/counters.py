@@ -5,8 +5,8 @@ allocated once, at trainer construction, and never again. That invariant is
 cheap to state and easy to regress silently — one stray ``np.concatenate``
 in an aggregator and every step quietly pays a full-model copy per worker.
 
-:data:`ALLOC_STATS` counts, per process, every time the fused pack/unpack
-helpers fall back to an allocating copy. The ``perf``-marked smoke test and
+:data:`ALLOC_STATS` counts, per process, every time the fused gradient
+path falls back to an allocating copy. The ``perf``-marked smoke test and
 the benchmark harness reset the counters, drive the hot path, and assert
 the arena path performed **zero** fused-buffer allocations.
 """
@@ -21,9 +21,8 @@ class AllocStats:
     """Counters of allocating fallbacks on the fused gradient path.
 
     Attributes:
-        pack_copies: fused buffers materialized by copying (``_pack`` could
-            not return a zero-copy arena view).
-        unpack_copies: per-tensor copies made on unpack (``copy=True``).
+        pack_copies: fused buffers materialized by copying (plain-dict
+            gradients handed to ``aggregate`` instead of arena slabs).
         bucket_reduces: per-bucket collective reductions fired by the
             bucketed reducer (in-place and copying alike).
         bucket_copies: bucket payloads that had to be staged through an
@@ -31,19 +30,17 @@ class AllocStats:
     """
 
     pack_copies: int = 0
-    unpack_copies: int = 0
     bucket_reduces: int = 0
     bucket_copies: int = 0
 
     @property
     def fused_allocs(self) -> int:
         """Total allocating events on the fused path since the last reset."""
-        return self.pack_copies + self.unpack_copies
+        return self.pack_copies
 
     def reset(self) -> None:
         """Zero all counters (call before a measured region)."""
         self.pack_copies = 0
-        self.unpack_copies = 0
         self.bucket_reduces = 0
         self.bucket_copies = 0
 
@@ -57,7 +54,6 @@ class AllocStats:
         without a counter field are ignored.
         """
         self.pack_copies += delta.get("pack_copies", 0)
-        self.unpack_copies += delta.get("unpack_copies", 0)
         self.bucket_reduces += delta.get("bucket_reduces", 0)
         self.bucket_copies += delta.get("bucket_copies", 0)
 
@@ -65,7 +61,6 @@ class AllocStats:
         """Plain-dict copy of all counters (for benchmark reports)."""
         return {
             "pack_copies": self.pack_copies,
-            "unpack_copies": self.unpack_copies,
             "bucket_reduces": self.bucket_reduces,
             "bucket_copies": self.bucket_copies,
             "fused_allocs": self.fused_allocs,

@@ -15,9 +15,9 @@ both to the actual training loop:
   as every gradient in the bucket is complete — reverse layout order, the
   order back-propagation produces them;
 - per-bucket reduction drives the aggregator's staged protocol
-  (``begin_buckets`` / ``reduce_bucket`` / ``finish_buckets``), which is
-  bit-identical to the monolithic ``aggregate`` for every method that
-  advertises ``supports_bucketed``.
+  (``begin_buckets`` / ``reduce_bucket`` / ``finish_buckets``) — the one
+  protocol every aggregator implements, whose one-bucket run is the
+  monolithic ``aggregate`` — bit-identically for every method.
 
 Eager (hook-driven) firing needs to know when a bucket's gradients are
 *final*: a parameter may be touched several times per backward (shared
@@ -32,7 +32,8 @@ are bit-identical to each other and to the monolithic path.
 Methods whose compression is *vector-global* (top-k selection, sign-SGD's
 L1 scale) still stage per bucket but cannot ship until every bucket is
 staged — the paper's observation that such compressors forfeit most of
-WFBP's overlap.
+WFBP's overlap. Random-k, QSGD, TernGrad and DGC compress the whole vector
+at ``finish_buckets``; their buckets only mark themselves done.
 """
 
 from __future__ import annotations
@@ -56,8 +57,7 @@ class BucketedReducer:
     Args:
         model: the trainer's model; hooks are registered on its parameters.
         arena: the bucketed gradient arena backing the model's gradients.
-        aggregator: the main aggregator; must advertise
-            ``supports_bucketed``.
+        aggregator: the main aggregator.
         accumulation_steps: the trainer's micro-batch count. When a bucket
             fires eagerly, the reducer divides the final worker's bucket
             segment in place of the trainer's whole-slab division (see
@@ -71,12 +71,6 @@ class BucketedReducer:
         aggregator: GradientAggregator,
         accumulation_steps: int = 1,
     ):
-        if not aggregator.supports_bucketed:
-            raise ValueError(
-                f"aggregator {aggregator.method!r} does not support bucketed "
-                "reduction; use buffer_bytes=None (monolithic aggregation) "
-                "for this method"
-            )
         self.arena = arena
         self.aggregator = aggregator
         self.accumulation_steps = accumulation_steps

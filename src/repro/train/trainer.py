@@ -82,7 +82,6 @@ class DataParallelTrainer:
         seed: int = 0,
         accumulation_steps: int = 1,
         resilience: Optional[ResilienceConfig] = None,
-        use_arena: bool = True,
         parallel_workers: bool = False,
         membership: Optional["MembershipController"] = None,
         buffer_bytes: Optional[int] = None,
@@ -107,11 +106,6 @@ class DataParallelTrainer:
         if workers not in ("seq", "thread", "process"):
             raise ValueError(
                 f"workers must be 'seq', 'thread' or 'process', got {workers!r}"
-            )
-        if workers == "process" and not use_arena:
-            raise ValueError(
-                "workers='process' requires use_arena=True: worker processes "
-                "exchange gradients through the shared-memory arena slabs"
             )
         self.workers = workers
         parallel_workers = workers == "thread"
@@ -160,11 +154,6 @@ class DataParallelTrainer:
                     "processes) or workers='seq' (the simulated twin the "
                     f"determinism checks diff against); got workers={workers!r}"
                 )
-            if not use_arena:
-                raise ValueError(
-                    "supervision requires use_arena=True: a failed worker's "
-                    "slot contributes its (stale) arena slab to the step"
-                )
             if supervision.on_failure == "eject" and membership is None:
                 raise ValueError(
                     "supervision on_failure='eject' requires a "
@@ -211,28 +200,17 @@ class DataParallelTrainer:
             enumerate(spawn_rngs(seed, self.world_size))
         )
         # --- hot-path state: gradient arena + optional parallel workers ---
-        if buffer_bytes is not None and not use_arena:
-            raise ValueError(
-                "buffer_bytes requires use_arena=True: buckets are "
-                "contiguous views of the fused arena slab"
-            )
-        if buffer_bytes is not None and not aggregator.supports_bucketed:
-            raise ValueError(
-                f"aggregator {aggregator.method!r} does not support bucketed "
-                "reduction; use buffer_bytes=None for this method"
-            )
-        self.use_arena = use_arena
+        # Every worker's gradients live in a fused arena slab; with
+        # ``buffer_bytes=None`` the slab is one bucket (monolithic
+        # aggregation), otherwise the reducer fires its buckets during
+        # backward.
         self.parallel_workers = parallel_workers
         self.buffer_bytes = buffer_bytes
-        self._arena: Optional[GradientArena] = (
-            GradientArena(
-                model,
-                self.world_size,
-                bucket_bytes=buffer_bytes,
-                backing="shared" if workers == "process" else "private",
-            )
-            if use_arena
-            else None
+        self._arena = GradientArena(
+            model,
+            self.world_size,
+            bucket_bytes=buffer_bytes,
+            backing="shared" if workers == "process" else "private",
         )
         self._reducer: Optional[BucketedReducer] = (
             BucketedReducer(model, self._arena, aggregator, accumulation_steps)
@@ -253,7 +231,6 @@ class DataParallelTrainer:
                 thread_name_prefix="repro-worker",
             )
         elif workers == "process":
-            assert self._arena is not None
             self._procpool = ProcessWorkerPool(
                 model,
                 self._arena,
@@ -309,8 +286,7 @@ class DataParallelTrainer:
             model = self.model
         if loss_fn is None:
             loss_fn = self.loss_fn
-        if self._arena is not None:
-            self._arena.bind(model, slot)
+        self._arena.bind(model, slot)
         model.zero_grad()
         losses = []
         for _ in range(self.accumulation_steps):
@@ -320,28 +296,18 @@ class DataParallelTrainer:
             logits = model(inputs)
             losses.append(loss_fn(logits, labels))
             model.backward(loss_fn.backward())
-        if self._arena is not None:
-            for name, param in model.named_parameters():
-                if param.grad is None:
-                    raise RuntimeError(
-                        f"parameter {name!r} received no gradient"
-                    )
-            if self.accumulation_steps > 1 and not (
-                self._reducer is not None and self._reducer.owns_division(slot)
-            ):
-                # True division in place: bit-identical to the legacy
-                # ``param.grad / accumulation_steps`` below, minus the copy.
-                # On an eager bucketed step the reducer divides the final
-                # worker's slab bucket by bucket instead, just before each
-                # bucket fires.
-                self._arena.divide_(slot, self.accumulation_steps)
-            return float(np.mean(losses)), self._arena.grads(slot)
-        grads: Dict[str, np.ndarray] = {}
         for name, param in model.named_parameters():
             if param.grad is None:
                 raise RuntimeError(f"parameter {name!r} received no gradient")
-            grads[name] = param.grad / self.accumulation_steps
-        return float(np.mean(losses)), grads
+        if self.accumulation_steps > 1 and not (
+            self._reducer is not None and self._reducer.owns_division(slot)
+        ):
+            # True division in place, like ``param.grad / accumulation_steps``
+            # minus the copy. On an eager bucketed step the reducer divides
+            # the final worker's slab bucket by bucket instead, just before
+            # each bucket fires.
+            self._arena.divide_(slot, self.accumulation_steps)
+        return float(np.mean(losses)), self._arena.grads(slot)
 
     def _parallel_worker_gradients(
         self, ranks: List[int]
@@ -389,7 +355,7 @@ class DataParallelTrainer:
         sequential loop while backprop uses every core.
         """
         pool = self._procpool
-        assert pool is not None and self._arena is not None
+        assert pool is not None
         self._ensure_ranks_supervised(pool, ranks)
         pool.broadcast_weights(self.model)
         tasks = []
@@ -585,8 +551,7 @@ class DataParallelTrainer:
         for rank in ranks:
             if rank not in self._rngs:
                 self._rngs[rank] = joiner_rng(self.seed, rank)
-        if self._arena is not None:
-            self._arena.ensure_slots(len(ranks))
+        self._arena.ensure_slots(len(ranks))
 
     def train_step(self) -> float:
         """One synchronous step across the live workers; returns mean loss.
@@ -634,7 +599,6 @@ class DataParallelTrainer:
                     # exactly what the process backend aggregates when
                     # the dead child never wrote this step.
                     seq_failures.append(failure)
-                    assert self._arena is not None
                     per_worker.append(self._arena.grads(slot))
                     continue
                 loss, grads = self._worker_gradients(rank, slot)
@@ -716,11 +680,10 @@ class DataParallelTrainer:
     ) -> Dict[str, np.ndarray]:
         """Aggregate through the bucketed pipeline when one is configured.
 
-        The fallback :class:`AllReduceAggregator` supports buckets, so a
-        fallback window on a bucketed trainer stays bucketed (and keeps
+        A fallback window on a bucketed trainer stays bucketed (and keeps
         recording per-bucket timings).
         """
-        if self._reducer is not None and aggregator.supports_bucketed:
+        if self._reducer is not None:
             return self._reducer.aggregate(aggregator, per_worker)
         return aggregator.aggregate(per_worker)
 
@@ -816,7 +779,7 @@ class DataParallelTrainer:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        if self._arena is not None and self._arena.is_shared:
+        if self._arena.is_shared:
             self._arena.unbind(self.model)
             self._arena.close()
 

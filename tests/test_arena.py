@@ -1,4 +1,4 @@
-"""Gradient arena: layout, zero-copy packing, in-place collectives."""
+"""Gradient arena: layout, zero-copy fusion, in-place collectives."""
 
 import numpy as np
 import pytest
@@ -8,12 +8,7 @@ from repro.comm.process_group import ProcessGroup
 from repro.faults.resilient import ResilientProcessGroup
 from repro.models.convnets import make_mlp
 from repro.nn.parameter import Parameter
-from repro.optim.aggregators import (
-    AllReduceAggregator,
-    _pack,
-    _pack_fused,
-    _unpack,
-)
+from repro.optim.aggregators import AllReduceAggregator, _unpack
 from repro.perf.arena import ArenaLayout, GradientArena
 from repro.perf.counters import ALLOC_STATS
 
@@ -41,15 +36,6 @@ class TestArenaLayout:
         with pytest.raises(ValueError, match="duplicate"):
             ArenaLayout([("a", (2,)), ("a", (3,))])
 
-    def test_span_contiguous_run(self):
-        layout = ArenaLayout([("a", (2,)), ("b", (3,)), ("c", (4,))])
-        assert layout.span(["a", "b", "c"]) == (0, 9)
-        assert layout.span(["b", "c"]) == (2, 9)
-        assert layout.span(["b"]) == (2, 5)
-        assert layout.span(["a", "c"]) is None
-        assert layout.span(["c", "b"]) is None
-        assert layout.span(["missing"]) is None
-
     def test_buckets_partition_slab(self):
         layout = ArenaLayout(
             [("a", (4,)), ("b", (4,)), ("c", (4,))], bucket_bytes=32
@@ -65,7 +51,6 @@ class TestGradientArena:
         grads = arena.grads(0)
         for name in arena.layout.names:
             assert np.shares_memory(grads[name], arena.slab(0))
-        assert grads.fused_view(arena.layout.names) is arena.slab(0)
 
     def test_backward_writes_land_in_slab(self):
         model = small_model()
@@ -148,52 +133,41 @@ class TestParameterSlots:
 
 class TestPackUnpack:
     def test_pack_arena_grads_is_zero_copy(self):
+        """Arena gradients are already fused: aggregation reads the slab
+        and returns views into it, with no packing copy."""
         model = small_model()
         arena = GradientArena(model, world_size=1)
-        grads = arena.grads(0)
         ALLOC_STATS.reset()
-        buffer, is_view = _pack_fused(grads, arena.layout.names)
-        assert is_view and buffer is arena.slab(0)
+        out = AllReduceAggregator(ProcessGroup(1)).aggregate([arena.grads(0)])
         assert ALLOC_STATS.pack_copies == 0
+        for name in arena.layout.names:
+            assert np.shares_memory(out[name], arena.slab(0))
 
     def test_pack_plain_dict_copies_and_counts(self):
+        """Plain-dict inputs are packed into a private slab, counted once
+        per worker, and the caller's arrays are left unmodified."""
         model = small_model()
         grads = random_grads(model)
-        names = list(grads)
+        before = {name: grad.copy() for name, grad in grads.items()}
         ALLOC_STATS.reset()
-        buffer, is_view = _pack_fused(grads, names)
-        assert not is_view
+        out = AllReduceAggregator(ProcessGroup(1)).aggregate([grads])
         assert ALLOC_STATS.pack_copies == 1
-        np.testing.assert_array_equal(
-            buffer, np.concatenate([grads[n].ravel() for n in names])
-        )
+        for name, grad in grads.items():
+            np.testing.assert_array_equal(grad, before[name])
+            np.testing.assert_array_equal(out[name], before[name])
+            assert not np.shares_memory(out[name], grad)
 
     def test_unpack_returns_read_only_views(self):
         """Satellite regression: callers cannot scribble on shared buffers."""
         model = small_model()
         grads = random_grads(model)
         names = list(grads)
-        buffer = _pack(grads, names)
+        buffer = np.concatenate([grads[n].ravel() for n in names])
         out = _unpack(buffer, grads, names)
         first = names[0]
         assert np.shares_memory(out[first], buffer)
         with pytest.raises(ValueError):
             out[first][...] = 0.0
-
-    def test_unpack_copy_gives_private_writable_tensors(self):
-        model = small_model()
-        grads = random_grads(model)
-        names = list(grads)
-        buffer = _pack(grads, names)
-        ALLOC_STATS.reset()
-        out = _unpack(buffer, grads, names, copy=True)
-        assert ALLOC_STATS.unpack_copies == len(names)
-        for name in names:
-            assert not np.shares_memory(out[name], buffer)
-            out[name][...] = 0.0  # must not raise
-        np.testing.assert_array_equal(
-            buffer, np.concatenate([grads[n].ravel() for n in names])
-        )
 
 
 class TestInplaceAllReduce:
@@ -277,15 +251,12 @@ class TestAggregatorFastPath:
             np.testing.assert_array_equal(result[name], expected[name])
             assert np.shares_memory(result[name], arena.slab(0))
 
-    def test_duplicate_buffers_fall_back_to_copying(self):
-        """Two workers handing in the SAME slab cannot be reduced in place."""
+    def test_duplicate_slabs_rejected(self):
+        """Two workers handing in the SAME slab: aggregation reduces and
+        stages in each worker's slab, so aliased slabs are refused."""
         model = small_model()
         arena = GradientArena(model, world_size=1)
-        np.copyto(arena.slab(0), 1.0)
         grads = arena.grads(0)
         aggregator = AllReduceAggregator(ProcessGroup(2))
-        result = aggregator.aggregate([grads, grads])
-        for name in result:
-            np.testing.assert_array_equal(
-                result[name], np.ones(arena.layout.shapes[name])
-            )
+        with pytest.raises(ValueError, match="same arena slab"):
+            aggregator.aggregate([grads, grads])

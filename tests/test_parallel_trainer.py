@@ -1,9 +1,11 @@
 """Bit-exactness of the arena and parallel-worker training paths.
 
-The acceptance property of the whole perf subsystem: turning on the
-zero-copy arena, the in-place collective, or thread-parallel worker
-backprop must not change a single bit of the training trajectory relative
-to the legacy sequential implementation — for every aggregation method.
+The acceptance property of the whole perf subsystem: aggregating the
+zero-copy arena slabs in place, or running thread-parallel worker
+backprop, must not change a single bit of the training trajectory relative
+to the legacy input form — sequential workers whose gradients reach the
+aggregator as plain ``{name: array}`` copies — for every aggregation
+method.
 """
 
 import numpy as np
@@ -22,9 +24,22 @@ from repro.train.trainer import DataParallelTrainer
 METHODS = ["ssgd", "signsgd", "topk", "powersgd", "acpsgd"]
 
 
+def _plain_dict_inputs(aggregator):
+    """Hand ``aggregator`` plain-dict copies of the arena gradients."""
+    inner = aggregator.aggregate
+
+    def aggregate(per_worker):
+        return inner([
+            {name: np.array(grad) for name, grad in grads.items()}
+            for grads in per_worker
+        ])
+
+    aggregator.aggregate = aggregate
+
+
 def run_training(
     method,
-    use_arena,
+    plain_grads,
     parallel_workers,
     steps=3,
     world_size=2,
@@ -36,16 +51,18 @@ def run_training(
         num_train=64, num_test=8, seed=seed
     )
     model = make_small_vgg(base_width=2, rng=np.random.default_rng(seed))
+    aggregator = make_aggregator(method, ProcessGroup(world_size))
+    if plain_grads:
+        _plain_dict_inputs(aggregator)
     trainer = DataParallelTrainer(
         model,
         SGD(model, lr=0.05, momentum=0.9),
-        make_aggregator(method, ProcessGroup(world_size)),
+        aggregator,
         train_data,
         test_data,
         batch_size_per_worker=4,
         seed=seed,
         accumulation_steps=accumulation_steps,
-        use_arena=use_arena,
         parallel_workers=parallel_workers,
     )
     losses = [trainer.train_step() for _ in range(steps)]
@@ -74,18 +91,18 @@ class TestArenaBitExactness:
     @pytest.mark.parametrize("method", METHODS)
     def test_arena_matches_legacy(self, method):
         assert_identical(
-            run_training(method, use_arena=False, parallel_workers=False),
-            run_training(method, use_arena=True, parallel_workers=False),
+            run_training(method, plain_grads=True, parallel_workers=False),
+            run_training(method, plain_grads=False, parallel_workers=False),
         )
 
     def test_arena_matches_legacy_with_accumulation(self):
         assert_identical(
             run_training(
-                "ssgd", use_arena=False, parallel_workers=False,
+                "ssgd", plain_grads=True, parallel_workers=False,
                 accumulation_steps=3, steps=2,
             ),
             run_training(
-                "ssgd", use_arena=True, parallel_workers=False,
+                "ssgd", plain_grads=False, parallel_workers=False,
                 accumulation_steps=3, steps=2,
             ),
         )
@@ -95,18 +112,19 @@ class TestParallelBitExactness:
     @pytest.mark.parametrize("method", METHODS)
     def test_parallel_matches_sequential(self, method):
         assert_identical(
-            run_training(method, use_arena=True, parallel_workers=False),
-            run_training(method, use_arena=True, parallel_workers=True),
+            run_training(method, plain_grads=False, parallel_workers=False),
+            run_training(method, plain_grads=False, parallel_workers=True),
         )
 
     def test_parallel_matches_legacy_world_four(self):
-        """The full stack (arena + in-place + threads) vs the original."""
+        """The full stack (arena + in-place + threads) vs plain-dict
+        aggregation on sequential workers."""
         assert_identical(
             run_training(
-                "ssgd", use_arena=False, parallel_workers=False, world_size=4
+                "ssgd", plain_grads=True, parallel_workers=False, world_size=4
             ),
             run_training(
-                "ssgd", use_arena=True, parallel_workers=True, world_size=4
+                "ssgd", plain_grads=False, parallel_workers=True, world_size=4
             ),
         )
 

@@ -12,7 +12,7 @@ from repro.nn.module import Module
 from repro.nn.parameter import Parameter
 from repro.optim.aggregators import (
     AllReduceAggregator,
-    RandomKAggregator,
+    aggregator_methods,
     make_aggregator,
 )
 from repro.optim.sgd import SGD
@@ -23,7 +23,7 @@ from repro.train.reducer import BucketedReducer
 from repro.train.resilience import ResilienceConfig
 from repro.train.trainer import DataParallelTrainer
 
-BUCKETED_METHODS = ["ssgd", "signsgd", "topk", "powersgd", "acpsgd"]
+BUCKETED_METHODS = aggregator_methods()
 
 
 def _fill_slabs(arena, num_slots, seed):
@@ -100,27 +100,42 @@ class TestSegmentCollectives:
 
 
 class TestBucketedAggregation:
-    """aggregate_bucketed must be bit-identical to aggregate, per method."""
+    """Any bucket layout and input form aggregates bit-identically."""
 
     @pytest.mark.parametrize("method", BUCKETED_METHODS)
     @pytest.mark.parametrize("world", [1, 2, 4])
     def test_bit_identical_to_monolithic(self, method, world):
+        """Plain dicts, a one-bucket arena and a multi-bucket arena."""
         model = _mlp()
         mono_arena = GradientArena(model, world)
         bucket_arena = GradientArena(model, world, bucket_bytes=60 * 8)
+        assert len(mono_arena.layout.buckets) == 1
         assert len(bucket_arena.layout.buckets) > 1
+        plain = make_aggregator(method, ProcessGroup(world))
         mono = make_aggregator(method, ProcessGroup(world))
         bucketed = make_aggregator(method, ProcessGroup(world))
         for step in range(3):  # several steps so EF residuals carry over
             _fill_slabs(mono_arena, world, 50 + step)
             _fill_slabs(bucket_arena, world, 50 + step)
+            plain_grads = [
+                {n: g.copy() for n, g in mono_arena.grads(s).items()}
+                for s in range(world)
+            ]
+            before = [
+                {n: g.copy() for n, g in grads.items()} for grads in plain_grads
+            ]
+            from_plain = plain.aggregate(plain_grads)
+            for grads, snapshot in zip(plain_grads, before):
+                for name in snapshot:
+                    np.testing.assert_array_equal(grads[name], snapshot[name])
             want = mono.aggregate(
                 [mono_arena.grads(s) for s in range(world)]
             )
-            got = bucketed.aggregate_bucketed(
+            got = bucketed.aggregate(
                 [bucket_arena.grads(s) for s in range(world)]
             )
             for name in want:
+                np.testing.assert_array_equal(from_plain[name], want[name])
                 np.testing.assert_array_equal(got[name], want[name])
 
     @pytest.mark.parametrize("method", BUCKETED_METHODS)
@@ -139,7 +154,7 @@ class TestBucketedAggregation:
         for arena, agg, order in zip(arenas, aggs, orders):
             _fill_slabs(arena, world, 3)
             results.append(
-                agg.aggregate_bucketed(
+                agg.aggregate(
                     [arena.grads(s) for s in range(world)], order=order
                 )
             )
@@ -165,7 +180,7 @@ class TestBucketedAggregation:
             want = mono.aggregate(
                 [mono_arena.grads(s) for s in range(len(roster))]
             )
-            got = bucketed.aggregate_bucketed(
+            got = bucketed.aggregate(
                 [bucket_arena.grads(s) for s in range(len(roster))]
             )
             for name in want:
@@ -185,7 +200,7 @@ class TestBucketedAggregation:
             _fill_slabs(mono_arena, 2, 1)
             agg = AllReduceAggregator(ProcessGroup(2))
             mono = AllReduceAggregator(ProcessGroup(2))
-            got = agg.aggregate_bucketed([arena.grads(0), arena.grads(1)])
+            got = agg.aggregate([arena.grads(0), arena.grads(1)])
             want = mono.aggregate([mono_arena.grads(0), mono_arena.grads(1)])
             np.testing.assert_array_equal(got["w"], want["w"])
 
@@ -201,7 +216,7 @@ class TestBucketedAggregation:
             _fill_slabs(a, 2, 4)
         bucketed = make_aggregator("signsgd", ProcessGroup(2))
         mono = make_aggregator("signsgd", ProcessGroup(2))
-        got = bucketed.aggregate_bucketed([arena.grads(0), arena.grads(1)])
+        got = bucketed.aggregate([arena.grads(0), arena.grads(1)])
         want = mono.aggregate([mono_arena.grads(0), mono_arena.grads(1)])
         for name in want:
             np.testing.assert_array_equal(got[name], want[name])
@@ -222,7 +237,7 @@ class TestBucketedAggregation:
             _fill_slabs(a, 2, 8)
         bucketed = make_aggregator(method, ProcessGroup(2))
         mono = make_aggregator(method, ProcessGroup(2))
-        got = bucketed.aggregate_bucketed([arena.grads(0), arena.grads(1)])
+        got = bucketed.aggregate([arena.grads(0), arena.grads(1)])
         want = mono.aggregate([mono_arena.grads(0), mono_arena.grads(1)])
         for name in want:
             np.testing.assert_array_equal(got[name], want[name])
@@ -250,14 +265,6 @@ class TestBucketedAggregation:
         ]
         with pytest.raises(ValueError, match="arena-backed"):
             agg.begin_buckets(plain)
-
-    def test_unsupported_method_raises(self):
-        model = _mlp()
-        arena = GradientArena(model, 2, bucket_bytes=60 * 8)
-        agg = RandomKAggregator(ProcessGroup(2))
-        assert not agg.supports_bucketed
-        with pytest.raises(NotImplementedError, match="bucketed"):
-            agg.begin_buckets([arena.grads(0), arena.grads(1)])
 
 
 def _flat_dataset(num, dim, classes, seed):
@@ -383,10 +390,8 @@ class TestBucketedTrainer:
         assert len(trainer._reducer.last_timings) > 0
 
     def test_buffer_bytes_validation(self):
-        with pytest.raises(ValueError, match="use_arena"):
-            _make_trainer("ssgd", 2, self.BUCKET, use_arena=False)
-        with pytest.raises(ValueError, match="does not support bucketed"):
-            _make_trainer("randomk", 2, self.BUCKET)
+        with pytest.raises(ValueError, match="bucket_bytes must be >= 0"):
+            _make_trainer("ssgd", 2, -1)
 
 
 class TestReducerHooks:
@@ -403,12 +408,6 @@ class TestReducerHooks:
         aggregator = AllReduceAggregator(ProcessGroup(2))
         reducer = BucketedReducer(model, arena, aggregator)
         return model, arena, reducer
-
-    def test_rejects_unbucketed_aggregator(self):
-        model = self.TwoParam()
-        arena = GradientArena(model, 2, bucket_bytes=8)
-        with pytest.raises(ValueError, match="does not support bucketed"):
-            BucketedReducer(model, arena, RandomKAggregator(ProcessGroup(2)))
 
     def _run_worker(self, model, arena, slot):
         arena.bind(model, slot)
